@@ -23,6 +23,8 @@
 //! * [`fault`] — the `vm-fault` lane: deliberate trace corruption that
 //!   proves the find→shrink→archive→replay pipeline end to end.
 //! * [`runner`] — the pool itself, plus [`CampaignReport`].
+//! * [`json`] — the workspace's JSON codec, re-exported from `rtl-obs`
+//!   so `rtl_campaign::json` paths keep resolving.
 //!
 //! ```
 //! use rtl_campaign::{run, CampaignConfig, CampaignDir, NoProgress, RunOptions};
@@ -53,7 +55,7 @@ pub mod config;
 pub mod corpus;
 pub mod error;
 pub mod fault;
-pub mod json;
+pub use rtl_obs::json;
 pub mod runner;
 pub mod shrink;
 pub mod state;

@@ -6,8 +6,8 @@
 //! tier in front of execution:
 //!
 //! * [`Diagnostic`]/[`Report`] — span-carrying findings with
-//!   deterministic ordering and text + hand-rolled JSON renderers
-//!   (`asim2 lint`, format [`JSON_FORMAT`]).
+//!   deterministic ordering and text + JSON renderers (`asim2 lint`,
+//!   format [`JSON_FORMAT`], on the shared `rtl_obs::json` codec).
 //! * [`LintPass`] — an open trait with ~10 shipped passes
 //!   ([`default_passes`]): multi-driver races, combinational cycles with
 //!   the full path, width truncation and constant overflow, dead and

@@ -1,9 +1,11 @@
 //! The `asim2-events v1` event model and its JSONL encoding.
 //!
 //! One event is one flat JSON object on one line. Values are only ever
-//! strings or unsigned integers, which keeps the hand-rolled
-//! encoder/parser small and the schema strict — anything else on a line
-//! is a validation error, which is exactly what the CI schema gate wants.
+//! strings or unsigned integers, which keeps the schema strict — anything
+//! else on a line is a validation error, which is exactly what the CI
+//! schema gate wants. Lines are parsed by the shared [`json`](crate::json)
+//! codec; rendering streams straight into the line through its escaper,
+//! since the recorder renders every event on the campaign hot path.
 //!
 //! ```text
 //! {"v":1,"e":"meta","format":"asim2-events v1"}
@@ -18,6 +20,8 @@
 //! (`key`). Counters are the **deterministic** class; gauges, marks and
 //! spans are **wall-clock** (see [`Class`]). The first line of a stream
 //! is always the `meta` header pinning the format version.
+
+use crate::json::{write_str, Json};
 
 /// The event-stream format line; bump on breaking changes.
 pub const FORMAT: &str = "asim2-events v1";
@@ -109,11 +113,7 @@ impl Event {
             line.push_str(name);
             line.push_str("\":");
             match value {
-                FieldValue::Str(s) => {
-                    line.push('"');
-                    escape_into(s, line);
-                    line.push('"');
-                }
+                FieldValue::Str(s) => write_str(line, s),
                 FieldValue::Num(n) => line.push_str(&n.to_string()),
             }
         };
@@ -170,14 +170,28 @@ impl Event {
     /// Parses and validates one JSONL line against the v1 schema.
     ///
     /// Strict by design: unknown event types, unknown fields, missing
-    /// fields, nested values, floats and negative numbers are all
-    /// errors — this parser *is* the schema validator CI runs.
+    /// fields, nested values, floats, negative numbers, `null`/booleans,
+    /// duplicate keys and trailing content are all errors — this parser
+    /// *is* the schema validator CI runs.
     ///
     /// # Errors
     ///
     /// A message describing the first violation found.
     pub fn parse(line: &str) -> Result<Event, String> {
-        let fields = parse_flat_object(line)?;
+        let Json::Obj(fields) = Json::parse(line)? else {
+            return Err("an event must be a JSON object".into());
+        };
+        for (name, value) in &fields {
+            match value {
+                Json::Str(_) => {}
+                Json::Num(n) if n.bytes().all(|b| b.is_ascii_digit()) => {}
+                _ => {
+                    return Err(format!(
+                        "field {name:?}: values must be strings or unsigned integers"
+                    ))
+                }
+            }
+        }
         let get = |name: &str| {
             fields
                 .iter()
@@ -186,12 +200,14 @@ impl Event {
                 .ok_or_else(|| format!("missing field {name:?}"))
         };
         let text = |name: &str| match get(name)? {
-            ParsedValue::Str(s) => Ok(s.clone()),
-            ParsedValue::Num(_) => Err(format!("field {name:?} must be a string")),
+            Json::Str(s) => Ok(s.clone()),
+            _ => Err(format!("field {name:?} must be a string")),
         };
         let num = |name: &str| match get(name)? {
-            ParsedValue::Num(n) => Ok(*n),
-            ParsedValue::Str(_) => Err(format!("field {name:?} must be a number")),
+            Json::Num(n) => n
+                .parse::<u64>()
+                .map_err(|_| format!("number out of range: {n}")),
+            _ => Err(format!("field {name:?} must be a number")),
         };
         if num("v")? != 1 {
             return Err("unsupported event version (expected v:1)".into());
@@ -265,129 +281,6 @@ impl Event {
 enum FieldValue<'a> {
     Str(&'a str),
     Num(u64),
-}
-
-#[derive(Debug)]
-enum ParsedValue {
-    Str(String),
-    Num(u64),
-}
-
-fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-/// Parses one flat JSON object: string keys, string or unsigned-integer
-/// values, nothing nested. Duplicate keys are rejected.
-fn parse_flat_object(line: &str) -> Result<Vec<(String, ParsedValue)>, String> {
-    let mut chars = line.trim().chars().peekable();
-    let mut fields: Vec<(String, ParsedValue)> = Vec::new();
-
-    let expect =
-        |chars: &mut std::iter::Peekable<std::str::Chars<'_>>, want: char| match chars.next() {
-            Some(c) if c == want => Ok(()),
-            Some(c) => Err(format!("expected {want:?}, found {c:?}")),
-            None => Err(format!("expected {want:?}, found end of line")),
-        };
-    fn skip_ws(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-        while chars.peek().is_some_and(|c| c.is_ascii_whitespace()) {
-            chars.next();
-        }
-    }
-    fn string(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Result<String, String> {
-        let mut out = String::new();
-        loop {
-            match chars.next() {
-                None => return Err("unterminated string".into()),
-                Some('"') => return Ok(out),
-                Some('\\') => match chars.next() {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('/') => out.push('/'),
-                    Some('n') => out.push('\n'),
-                    Some('t') => out.push('\t'),
-                    Some('r') => out.push('\r'),
-                    Some('u') => {
-                        let hex: String = chars.by_ref().take(4).collect();
-                        if hex.len() != 4 {
-                            return Err("truncated \\u escape".into());
-                        }
-                        let code = u32::from_str_radix(&hex, 16)
-                            .map_err(|_| "bad \\u escape".to_string())?;
-                        out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(c) => out.push(c),
-            }
-        }
-    }
-
-    skip_ws(&mut chars);
-    expect(&mut chars, '{')?;
-    skip_ws(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-    } else {
-        loop {
-            skip_ws(&mut chars);
-            expect(&mut chars, '"')?;
-            let key = string(&mut chars)?;
-            if fields.iter().any(|(k, _)| *k == key) {
-                return Err(format!("duplicate field {key:?}"));
-            }
-            skip_ws(&mut chars);
-            expect(&mut chars, ':')?;
-            skip_ws(&mut chars);
-            let value = match chars.peek() {
-                Some('"') => {
-                    chars.next();
-                    ParsedValue::Str(string(&mut chars)?)
-                }
-                Some(c) if c.is_ascii_digit() => {
-                    let mut digits = String::new();
-                    while chars.peek().is_some_and(char::is_ascii_digit) {
-                        digits.push(chars.next().expect("peeked"));
-                    }
-                    if chars.peek().is_some_and(|c| matches!(c, '.' | 'e' | 'E')) {
-                        return Err("floats are not part of the v1 schema".into());
-                    }
-                    ParsedValue::Num(
-                        digits
-                            .parse()
-                            .map_err(|_| format!("number out of range: {digits}"))?,
-                    )
-                }
-                other => {
-                    return Err(format!(
-                        "values must be strings or unsigned integers, found {other:?}"
-                    ))
-                }
-            };
-            fields.push((key, value));
-            skip_ws(&mut chars);
-            match chars.next() {
-                Some(',') => continue,
-                Some('}') => break,
-                other => return Err(format!("expected ',' or '}}', found {other:?}")),
-            }
-        }
-    }
-    skip_ws(&mut chars);
-    if let Some(c) = chars.next() {
-        return Err(format!("trailing content after object: {c:?}"));
-    }
-    Ok(fields)
 }
 
 #[cfg(test)]
@@ -471,6 +364,17 @@ mod tests {
             r#"{"v":1,"e":"span","src":"s","key":"k","id":1,"phase":"enter","us":3}"#,
             r#"{"v":1,"e":"span","src":"s","key":"k","id":1,"phase":"open"}"#,
             r#"{"v":1,"e":"counter","src":"s","key":"k","n":1} extra"#,
+            r#"{"v":1,"e":"counter","src":"s","key":"k","n":1}{}"#, // two objects
+            r#"{"v":1,"e":"counter","src":"s","key":"k","n":[1]}"#, // array
+            r#"{"v":1,"e":"counter","src":"s","key":"k","n":1e3}"#, // exponent
+            r#"{"v":1,"e":"counter","src":"s","key":"k","n":01}"#,  // leading zero
+            r#"{"v":1,"e":"counter","src":"s","key":"k","n":null}"#, // null
+            r#"{"v":1,"e":"counter","src":"s","key":"k","n":true}"#, // boolean
+            r#"{"v":1,"e":"mark","src":"s","key":"k","detail":false}"#, // boolean
+            r#"{"v":1,"e":"counter","src":"s","key":"k","n":18446744073709551616}"#,
+            r#"{"v":1,"e":"counter","src":"s","src":"t","key":"k","n":1}"#, // duplicate
+            r#"{"v":1,"e":"mark","src":"s","key":"k","detail":"\ud800"}"#,  // lone surrogate
+            r#"[{"v":1,"e":"counter","src":"s","key":"k","n":1}]"#,         // not an object
         ];
         for line in bad {
             assert!(Event::parse(line).is_err(), "accepted: {line}");

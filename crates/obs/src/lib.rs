@@ -23,9 +23,14 @@
 //!    (`asim2 metrics summarize --check`).
 //!
 //! The on-disk format is `asim2-events v1`: one JSON object per line,
-//! hand-rolled like the rest of the workspace's on-disk formats (offline,
-//! no serde), with a leading `meta` header line carrying the format
-//! string. See [`event`] for the exact schema.
+//! with a leading `meta` header line carrying the format string. See
+//! [`event`] for the exact schema.
+//!
+//! This crate sits at the bottom of the crate graph with no
+//! dependencies, so it also hosts [`json`], the workspace's one JSON
+//! codec (offline, no serde): every artifact — campaign state, records,
+//! fleet frames, events, profiles, lint reports, trace exports — is
+//! written and read through it.
 //!
 //! ```
 //! use rtl_obs::{Recorder, Summary};
@@ -44,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod event;
+pub mod json;
 pub mod recorder;
 pub mod summary;
 pub mod trace;

@@ -30,6 +30,7 @@
 use std::collections::BTreeMap;
 
 use crate::event::{Event, FORMAT};
+use crate::json::Json;
 
 /// One entry of the `traceEvents` array, pre-rendered field-by-field.
 struct TraceEntry {
@@ -88,13 +89,16 @@ impl Layout {
             }
             Event::Mark { src, key, detail } => {
                 let mut json = format!(
-                    "{{\"name\":\"{}\",\"ph\":\"i\",\"s\":\"g\",\"ts\":{},\"pid\":{},\"tid\":0",
-                    escape(&format!("{src}/{key}")),
+                    "{{\"name\":{},\"ph\":\"i\",\"s\":\"g\",\"ts\":{},\"pid\":{},\"tid\":0",
+                    Json::str(format!("{src}/{key}")).render_compact(),
                     self.clock,
                     self.pid
                 );
                 if let Some(detail) = detail {
-                    json.push_str(&format!(",\"args\":{{\"detail\":\"{}\"}}", escape(detail)));
+                    json.push_str(&format!(
+                        ",\"args\":{{\"detail\":{}}}",
+                        Json::str(detail).render_compact()
+                    ));
                 }
                 json.push('}');
                 self.push(self.clock, json);
@@ -128,19 +132,19 @@ impl Layout {
     }
 
     fn emit_span(&mut self, src: &str, key: &str, begin: u64, end: u64, tid: u64) {
-        let name = escape(&format!("{src}/{key}"));
-        let cat = escape(src);
+        let name = Json::str(format!("{src}/{key}")).render_compact();
+        let cat = Json::str(src).render_compact();
         let pid = self.pid;
         self.push(
             begin,
             format!(
-                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"B\",\"ts\":{begin},\"pid\":{pid},\"tid\":{tid}}}"
+                "{{\"name\":{name},\"cat\":{cat},\"ph\":\"B\",\"ts\":{begin},\"pid\":{pid},\"tid\":{tid}}}"
             ),
         );
         self.push(
             end,
             format!(
-                "{{\"name\":\"{name}\",\"cat\":\"{cat}\",\"ph\":\"E\",\"ts\":{end},\"pid\":{pid},\"tid\":{tid}}}"
+                "{{\"name\":{name},\"cat\":{cat},\"ph\":\"E\",\"ts\":{end},\"pid\":{pid},\"tid\":{tid}}}"
             ),
         );
     }
@@ -181,25 +185,9 @@ fn render(mut entries: Vec<TraceEntry>) -> String {
 
 fn counter_sample(src: &str, key: &str, ts: u64, value: u64, pid: u64) -> String {
     format!(
-        "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"args\":{{\"value\":{value}}}}}",
-        escape(&format!("{src}/{key}"))
+        "{{\"name\":{},\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"args\":{{\"value\":{value}}}}}",
+        Json::str(format!("{src}/{key}")).render_compact()
     )
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Exports a slice of already-parsed events as trace-event JSON.
@@ -278,8 +266,8 @@ pub fn trace_from_sources(sources: &[(String, String)]) -> Result<String, String
             0,
             format!(
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,\"pid\":{pid},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                escape(label)
+                 \"args\":{{\"name\":{}}}}}",
+                Json::str(label).render_compact()
             ),
         );
         for event in &events {
