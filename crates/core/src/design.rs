@@ -38,6 +38,7 @@ use crate::resolve::{resolve_expr, CompId, RExpr};
 use crate::word::Word;
 use rtl_lang::{ComponentKind, Ident, Spec};
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// The component limit of the original implementation (`maxcomponents`).
 /// Informational only — this library does not enforce it (divergence D2).
@@ -144,6 +145,9 @@ pub struct Design {
     memories: Vec<CompId>,
     traced: Vec<CompId>,
     warnings: Vec<Warning>,
+    /// Inferred output widths, filled on first use (see
+    /// [`widths`](Design::widths)).
+    widths: OnceLock<Vec<u8>>,
 }
 
 impl Design {
@@ -308,6 +312,7 @@ impl Design {
             memories,
             traced,
             warnings,
+            widths: OnceLock::new(),
         })
     }
 
@@ -380,6 +385,14 @@ impl Design {
     /// Components traced each cycle, in declaration-list order.
     pub fn traced(&self) -> &[CompId] {
         &self.traced
+    }
+
+    /// Inferred output widths ([`width::infer`](crate::width::infer)),
+    /// indexed by [`CompId::index`]. The fixpoint runs once, on the first
+    /// call; the waveform sink and the VCD comparison lens read the
+    /// same table.
+    pub fn widths(&self) -> &[u8] {
+        self.widths.get_or_init(|| crate::width::infer(self))
     }
 
     /// Warnings from the declaration check.

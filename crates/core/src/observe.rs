@@ -10,8 +10,7 @@
 //!   comparison point: cycle counter, per-component visible outputs
 //!   (respecting [`Engine::observes_output`]), memory cells, the trace
 //!   span produced since the last agreed point, and the lane's stop
-//!   state. Fingerprintable with [`Fingerprint`]
-//!   ([`Observation::fingerprint`]).
+//!   state. Digestible to one `u64` ([`Observation::fingerprint`]).
 //! * [`Comparator`] — an open trait turning two observations into a
 //!   [`DivergenceKind`] value (or agreement). Shipped lenses:
 //!   [`TraceBytes`], [`CycleCounter`], [`Outputs`], [`Cells`],
@@ -63,7 +62,7 @@ use crate::design::Design;
 use crate::engine::Engine;
 use crate::error::SimError;
 use crate::resolve::CompId;
-use crate::session::{design_fingerprint, Fingerprint};
+use crate::session::Fingerprint;
 use crate::stats::SimStats;
 use crate::word::Word;
 
@@ -130,11 +129,17 @@ impl<'a> Observation<'a> {
         self.engine.stats()
     }
 
-    /// A stable [`Fingerprint`] over everything this observation exposes:
-    /// cycle, observed outputs, memory cells, trace span and stop state.
-    /// Two lanes at the same comparison point agree under every shipped
+    /// A stable digest of everything this observation exposes: cycle,
+    /// observed outputs, memory cells, trace span and stop state. Two
+    /// lanes at the same comparison point agree under every shipped
     /// comparator iff their fingerprints can agree (the fingerprint also
     /// folds in *which* components are observed).
+    ///
+    /// Everything but the memory cells goes through [`Fingerprint`]; the
+    /// cells, which dominate large designs, are folded word by word with
+    /// several independent accumulators, and a change to any single cell
+    /// always changes the digest. Digest logs store these values, so a
+    /// change to them bumps the `asim2-digests` format.
     pub fn fingerprint(&self) -> u64 {
         let mut fp = Fingerprint::new();
         fp.write_u64(self.cycle() as u64);
@@ -147,17 +152,85 @@ impl<'a> Observation<'a> {
                 None => fp.write(&[0]),
             }
         }
-        for &id in self.design().memories() {
-            for &cell in self.cells(id) {
-                fp.write_u64(cell as u64);
-            }
-        }
         fp.write(self.trace);
         match self.error {
             Some(e) => fp.write_str(&e.to_string()),
             None => fp.write(&[0]),
         }
-        fp.finish()
+        let mut cells = CellFold::new();
+        for &id in self.design().memories() {
+            cells.write(self.cells(id));
+        }
+        cells.finish(fp.finish())
+    }
+}
+
+/// The word-wise fold of memory cells behind [`Observation::fingerprint`].
+///
+/// Consecutive pairs of cells go round-robin to independent
+/// accumulators, so the multiplies of neighbouring pairs overlap instead
+/// of forming one serial chain, and each multiply covers two cells. A
+/// [`step`](CellFold::step) is a bijection of the accumulator for given
+/// cells, and of either cell for a given accumulator and other cell;
+/// [`finish`](CellFold::finish) combines the accumulators with the same
+/// step. So two cell images that differ in exactly one cell always fold
+/// to different values.
+struct CellFold {
+    acc: [u64; CellFold::LANES],
+}
+
+impl CellFold {
+    const LANES: usize = 8;
+    /// Odd, so the multiply is a bijection modulo 2^64.
+    const MUL: u64 = 0x9e37_79b9_7f4a_7c15;
+
+    fn new() -> Self {
+        CellFold {
+            acc: [
+                0x243f_6a88_85a3_08d3,
+                0x1319_8a2e_0370_7344,
+                0xa409_3822_299f_31d0,
+                0x082e_fa98_ec4e_6c89,
+                0x4528_21e6_38d0_1377,
+                0xbe54_66cf_34e9_0c6c,
+                0xc0ac_29b7_c97c_50dd,
+                0x3f84_d5b5_b547_0917,
+            ],
+        }
+    }
+
+    /// Xor, rotate, add, multiply: the rotate feeds the high bits of the
+    /// previous product back into the low half, and mixing xor with add
+    /// keeps the fold from being linear in the cells.
+    #[inline]
+    fn step(acc: u64, a: u64, b: u64) -> u64 {
+        (acc ^ a)
+            .rotate_left(32)
+            .wrapping_add(b)
+            .wrapping_mul(Self::MUL)
+    }
+
+    /// Folds one memory's cells, in address order. A trailing odd cell
+    /// is paired with 0; memory sizes are fixed per design, so the
+    /// padding is unambiguous.
+    fn write(&mut self, cells: &[Word]) {
+        let mut blocks = cells.chunks_exact(2 * Self::LANES);
+        for block in &mut blocks {
+            for (acc, pair) in self.acc.iter_mut().zip(block.chunks_exact(2)) {
+                *acc = Self::step(*acc, pair[0] as u64, pair[1] as u64);
+            }
+        }
+        for (acc, pair) in self.acc.iter_mut().zip(blocks.remainder().chunks(2)) {
+            let b = pair.get(1).map_or(0, |&cell| cell as u64);
+            *acc = Self::step(*acc, pair[0] as u64, b);
+        }
+    }
+
+    /// Combines the accumulators into `seed`.
+    fn finish(&self, seed: u64) -> u64 {
+        self.acc
+            .chunks_exact(2)
+            .fold(seed, |h, pair| Self::step(h, pair[0], pair[1]))
     }
 }
 
@@ -342,8 +415,8 @@ pub fn stop_state(
 /// An observational lens: decides whether two lanes' observations are
 /// equivalent, and *what* diverged when they are not. Open by design —
 /// the lockstep harness drives any set of comparators, shipped or custom.
-/// `compare` takes `&mut self` so lenses may keep caches (see
-/// [`VcdDiff`]).
+/// `compare` takes `&mut self` so lenses may keep state across intervals
+/// (a recorder appending to a log, a lane replayed from one).
 pub trait Comparator {
     /// A stable name for configuration listings and reports.
     fn name(&self) -> &str;
@@ -461,9 +534,6 @@ impl Comparator for Cells {
 #[derive(Debug, Clone, Default)]
 pub struct VcdDiff {
     signals: Vec<String>,
-    /// Inferred widths, cached per design fingerprint (width inference is
-    /// a fixpoint — far too expensive per comparison interval).
-    widths: Option<(u64, Vec<u8>)>,
 }
 
 impl VcdDiff {
@@ -474,17 +544,7 @@ impl VcdDiff {
 
     /// A lens over the named signals only (empty = all components).
     pub fn with_signals(signals: Vec<String>) -> Self {
-        VcdDiff {
-            signals,
-            widths: None,
-        }
-    }
-
-    fn ensure_widths(&mut self, design: &Design) {
-        let fp = design_fingerprint(design);
-        if self.widths.as_ref().map(|(have, _)| *have) != Some(fp) {
-            self.widths = Some((fp, crate::width::infer(design)));
-        }
+        VcdDiff { signals }
     }
 }
 
@@ -499,13 +559,9 @@ impl Comparator for VcdDiff {
         candidate: &Observation<'_>,
     ) -> Option<DivergenceKind> {
         let design = reference.design();
-        self.ensure_widths(design);
-        // Borrow-friendly split: the cached widths slice and the signal
-        // filter are disjoint fields.
-        let VcdDiff { signals, widths } = self;
-        let widths = &widths.as_ref().expect("filled above").1;
+        let widths = design.widths();
         for (id, comp) in design.iter() {
-            if !signals.is_empty() && !signals.iter().any(|s| comp.name == s.as_str()) {
+            if !self.signals.is_empty() && !self.signals.iter().any(|s| comp.name == s.as_str()) {
                 continue;
             }
             if let (Some(a), Some(b)) = (reference.output(id), candidate.output(id)) {
@@ -860,6 +916,48 @@ mod tests {
         // Signal filters narrow the lens.
         let mut filtered = VcdDiff::with_signals(vec!["x".into()]);
         assert!(filtered.compare(&left, &right).is_none());
+    }
+
+    /// A design with two memories of uneven sizes, so cells land in
+    /// every accumulator lane and in the per-memory remainders.
+    const TWO_MEMORIES: &str = "# m\na b .\nM a 0 0 0 7\nM b 0 0 0 4097 .";
+
+    proptest::proptest! {
+        /// Changing any single cell of any memory, at any address, to any
+        /// other value changes the digest.
+        #[test]
+        fn any_single_cell_change_changes_the_fingerprint(
+            memory in 0usize..2,
+            at in 0u32..4097,
+            value in proptest::any::<i64>(),
+            base in proptest::any::<i64>(),
+        ) {
+            let d = Design::from_source(TWO_MEMORIES).unwrap();
+            let id = d.memories()[memory];
+            let addr = at % d.memory(id).size;
+            let mut a = Stub::new(&d);
+            a.state.set_cell(id, addr, base);
+            let mut b = Stub::new(&d);
+            b.state.set_cell(id, addr, base);
+            b.state.set_cell(id, addr, if value == base { !base } else { value });
+            let left = Observation::new(&a, b"span", None);
+            let right = Observation::new(&b, b"span", None);
+            proptest::prop_assert_ne!(left.fingerprint(), right.fingerprint());
+        }
+    }
+
+    #[test]
+    fn fingerprint_value_is_pinned() {
+        // Digest logs store these values on disk: a change to the hash
+        // must bump `asim2-digests`, and then this pin.
+        let d = design();
+        let mut lane = Stub::new(&d);
+        let observation = Observation::new(&lane, b"Cycle   0 count= 0\n", None);
+        assert_eq!(observation.fingerprint(), 0x02cc_7644_9268_82ef);
+        lane.state.set_cell(d.find("count").unwrap(), 0, 1);
+        lane.state.bump_cycle();
+        let observation = Observation::new(&lane, b"Cycle   1 count= 1\n", None);
+        assert_eq!(observation.fingerprint(), 0x65e7_ea0d_39a6_d4a7);
     }
 
     #[test]

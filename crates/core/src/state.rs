@@ -17,13 +17,37 @@ use crate::word::Word;
 ///
 /// All components start at zero ("All components are initialized to zero
 /// before simulation begins"), except memory cells with initializer lists.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// [`clone_from`](Clone::clone_from) copies into the existing buffers
+/// without reallocating, so a harness that refreshes one snapshot per
+/// comparison interval pays a memcpy, not an allocation.
+#[derive(Debug, PartialEq, Eq)]
 pub struct SimState {
     outputs: Vec<Word>,
     cells: Vec<Word>,
     cell_off: Vec<u32>,
     cell_len: Vec<u32>,
     cycle: Word,
+}
+
+impl Clone for SimState {
+    fn clone(&self) -> Self {
+        SimState {
+            outputs: self.outputs.clone(),
+            cells: self.cells.clone(),
+            cell_off: self.cell_off.clone(),
+            cell_len: self.cell_len.clone(),
+            cycle: self.cycle,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.outputs.clone_from(&source.outputs);
+        self.cells.clone_from(&source.cells);
+        self.cell_off.clone_from(&source.cell_off);
+        self.cell_len.clone_from(&source.cell_len);
+        self.cycle = source.cycle;
+    }
 }
 
 impl SimState {
@@ -170,5 +194,19 @@ mod tests {
         assert_eq!(a, b);
         a.set_cell(d.find("m").unwrap(), 1, 5);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn clone_from_copies_in_place() {
+        let d = design("# s\na m .\nA a 4 1 2\nM m 0 0 0 3 .");
+        let mut src = SimState::new(&d);
+        src.set_cell(d.find("m").unwrap(), 2, 9);
+        src.set_output(d.find("a").unwrap(), 3);
+        src.bump_cycle();
+        let mut dst = SimState::new(&d);
+        let cells = dst.cells.as_ptr();
+        dst.clone_from(&src);
+        assert_eq!(dst, src);
+        assert_eq!(dst.cells.as_ptr(), cells, "the cell buffer is reused");
     }
 }

@@ -43,7 +43,6 @@ pub struct VcdSink<W: Write> {
 #[derive(Debug)]
 struct Run {
     ids: Vec<crate::CompId>,
-    widths: Vec<u8>,
     previous: Vec<Option<Word>>,
     cycles: u64,
 }
@@ -93,12 +92,10 @@ impl<W: Write> VcdSink<W> {
             })
             .map(|(id, _)| id)
             .collect();
-        let widths = crate::width::infer(design);
-        header(design, &ids, &widths, &mut self.out)?;
+        header(design, &ids, design.widths(), &mut self.out)?;
         self.run = Some(Run {
             previous: vec![None; ids.len()],
             ids,
-            widths,
             cycles: 0,
         });
         Ok(())
@@ -117,6 +114,7 @@ impl<W: Write> TraceSink for VcdSink<W> {
     fn end_cycle(&mut self, design: &Design, state: &SimState) -> io::Result<()> {
         self.ensure_header(design)?;
         let run = self.run.as_mut().expect("initialized above");
+        let widths = design.widths();
         let mut stamped = false;
         for (slot, &id) in run.ids.iter().enumerate() {
             let value = state.output(id);
@@ -125,7 +123,7 @@ impl<W: Write> TraceSink for VcdSink<W> {
                     writeln!(self.out, "#{}", run.cycles)?;
                     stamped = true;
                 }
-                change(&mut self.out, value, run.widths[id.index()], slot)?;
+                change(&mut self.out, value, widths[id.index()], slot)?;
                 run.previous[slot] = Some(value);
             }
         }

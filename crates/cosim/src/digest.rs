@@ -39,8 +39,11 @@ use std::io::{self, BufRead, Write};
 use std::path::Path;
 use std::rc::Rc;
 
-/// The digest stream format line; bump on breaking changes.
-pub const FORMAT: &str = "asim2-digests v1";
+/// The digest stream format line; bump on breaking changes, including a
+/// change to the [`Observation::fingerprint`] values it carries. v2
+/// folds memory cells word by word; v1 logs hold the older, byte-wise
+/// digests and cannot be checked against.
+pub const FORMAT: &str = "asim2-digests v2";
 
 /// A recorded stream of per-interval reference-lane digests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -122,7 +125,14 @@ impl DigestLog {
         let next = |input: &mut dyn BufRead, what: &str| -> io::Result<String> {
             rtl_core::session::read_doc_line(input, what)
         };
-        if next(input, "magic")? != FORMAT {
+        let magic = next(input, "magic")?;
+        if magic == "asim2-digests v1" {
+            return Err(bad(format!(
+                "asim2-digests v1 stream: its digests predate {FORMAT}; \
+                 re-export it with this build"
+            )));
+        }
+        if magic != FORMAT {
             return Err(bad(format!("not an {FORMAT} stream")));
         }
         let scenario = next(input, "scenario")?
@@ -329,15 +339,24 @@ mod tests {
     #[test]
     fn malformed_streams_are_rejected() {
         for bad in [
-            "nope\n",
-            "asim2-digests v1\nscenario x\ndesign zz\nevery 1\n",
-            "asim2-digests v1\nscenario x\ndesign 00ff\nevery 1\n5 10\n3 10\n",
-            "asim2-digests v1\nscenario x\ndesign 00ff\nevery 1\nfive ten\n",
+            "nope\n".to_string(),
+            format!("{FORMAT}\nscenario x\ndesign zz\nevery 1\n"),
+            format!("{FORMAT}\nscenario x\ndesign 00ff\nevery 1\n5 10\n3 10\n"),
+            format!("{FORMAT}\nscenario x\ndesign 00ff\nevery 1\nfive ten\n"),
         ] {
             assert!(
                 DigestLog::parse(&mut bad.as_bytes()).is_err(),
                 "{bad:?} should not parse"
             );
         }
+    }
+
+    #[test]
+    fn v1_streams_are_refused_by_name() {
+        let v1 = "asim2-digests v1\nscenario x\ndesign 00ff\nevery 1\n5 10\n";
+        let err = DigestLog::parse(&mut v1.as_bytes()).unwrap_err();
+        let message = err.to_string();
+        assert!(message.contains("asim2-digests v1"), "{message}");
+        assert!(message.contains("asim2-digests v2"), "{message}");
     }
 }

@@ -12,11 +12,12 @@
 //!   samples — see [`rtl_core::observe`]). On mismatch it produces a
 //!   structured [`DivergenceReport`] pinpointing the first divergent
 //!   cycle and component, with a trace window per engine. Comparison can
-//!   run at a coarse interval (`compare_every`); the harness then uses
-//!   the lanes' [`Session::checkpoint`](rtl_core::Session::checkpoint)/
-//!   [`resume`](rtl_core::Session::resume) to rewind and bisect to the
-//!   exact cycle — and the same mechanism lets one long case stop and
-//!   restart mid-run ([`Lockstep::checkpoint`]/[`Lockstep::resume`]).
+//!   run at a coarse interval (`compare_every`); the harness then keeps
+//!   an in-memory [`SimState`](rtl_core::SimState) per lane at the last
+//!   agreeing interval and restores it to rewind and bisect to the
+//!   exact cycle. Text checkpoints
+//!   ([`Lockstep::checkpoint`]/[`Lockstep::resume`]) let one long case
+//!   stop and restart mid-run.
 //! * [`engines`] — assembles the *default* core
 //!   [`EngineRegistry`](rtl_core::EngineRegistry): `interp`,
 //!   `interp-faithful`, `vm`, `vm-noopt`, the `rust` generated-binary

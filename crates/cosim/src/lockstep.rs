@@ -10,26 +10,28 @@
 //! After every comparison interval the lanes' [`Observation`]s are
 //! checked against lane 0 by the configured [`Comparator`] set (the
 //! classic trace/cycles/outputs/cells tuple by default; see
-//! [`CompareMode`]), and — at coarse strides — checkpointed through
-//! [`Session::checkpoint`]. When a coarse-interval comparison fails,
-//! every lane rewinds to the last agreeing checkpoint
-//! ([`Session::resume`] plus re-supplied stimulus) and replays one cycle
+//! [`CompareMode`]). At coarse strides each agreeing interval also
+//! copies every lane's engine state into an in-memory rewind point (a
+//! [`SimState`] buffer reused across intervals). When a coarse-interval
+//! comparison fails, every lane rewinds to that point
+//! ([`Engine::restore`] plus re-supplied stimulus) and replays one cycle
 //! at a time, so the report always names the *first* divergent cycle
 //! regardless of stride.
 //!
-//! Because a lane's whole position is a value (session checkpoint +
-//! stimulus offset + verified count), a lockstep run itself can stop and
-//! restart mid-case: [`Lockstep::checkpoint`] writes every lane to one
-//! document and [`Lockstep::resume`] restores it — the mechanism behind
-//! `asim2 cosim --checkpoint/--resume` and `asim2 campaign run
-//! --case-checkpoint`.
+//! Because a lane's whole position is a value (engine state + stimulus
+//! offset + verified count), a lockstep run itself can stop and restart
+//! mid-case: [`Lockstep::checkpoint`] writes every lane to one text
+//! document (each lane's [`Session::checkpoint`]) and
+//! [`Lockstep::resume`] restores it — the mechanism behind `asim2 cosim
+//! --checkpoint/--resume` and `asim2 campaign run --case-checkpoint`.
+//! The text format exists only for such files; rewinds never serialize.
 
 use crate::engines::EngineKind;
 use rtl_core::observe::{stop_state, Comparator, CompareMode, Observation};
 use rtl_core::{
     design_fingerprint, Design, DivergenceKind, Engine, Fingerprint, HaltKind, InputSource,
-    LaneReport, LaneStats, LoadError, Recorder, ScriptedInput, Session, SimError, StopReason,
-    TraceSink, Until, Word,
+    LaneReport, LaneStats, LoadError, Recorder, ScriptedInput, Session, SimError, SimState,
+    StopReason, TraceSink, Until, Word,
 };
 use rtl_machines::Scenario;
 use std::cell::{Cell, RefCell};
@@ -61,8 +63,9 @@ pub struct CosimOptions {
     /// Keep the full agreed trace in memory so
     /// [`Lockstep::agreed_output`] can return it. Off by default: long
     /// runs would otherwise grow O(cycles × lanes); with retention off,
-    /// verified output is drained at each checkpoint down to a small tail
-    /// (kept for divergence-report trace windows).
+    /// only the last 4096 verified bytes are quoted (in divergence-report
+    /// trace windows and by `agreed_output`), and older output is drained
+    /// in batches.
     pub retain_output: bool,
     /// The comparator set, as values (see [`CompareMode`]); empty falls
     /// back to [`CompareMode::All`]. Lane error states are always
@@ -84,8 +87,9 @@ pub struct CosimOptions {
     pub check_digests: Option<PathBuf>,
     /// Telemetry tap (disabled/no-op by default): lane sessions count
     /// executed cycles, the harness counts comparator invocations per
-    /// lens (`lockstep/compare_<lens>`) and bisection rewinds
-    /// (`lockstep/bisect_rewinds`). A [`Recorder`] never affects
+    /// lens (`lockstep/compare_<lens>`), bisection rewinds
+    /// (`lockstep/bisect_rewinds`) and, at coarse strides, rewind-point
+    /// refreshes (`lockstep/rewind_snapshots`). A [`Recorder`] never affects
     /// behavior, compares equal to every other recorder, and stays out
     /// of harness fingerprints.
     pub recorder: Recorder,
@@ -286,22 +290,30 @@ struct Lane<'d> {
     consumed: Rc<Cell<usize>>,
     /// Sticky stop state: the error this lane raised, if any.
     error: Option<SimError>,
-    /// The lane's session checkpoint at the last agreeing comparison
-    /// (only maintained at coarse strides, where rewind can happen).
-    check: Vec<u8>,
+    /// The rewind point: the engine's state at the last agreeing
+    /// comparison (only refreshed at coarse strides, where rewind can
+    /// happen), with the stimulus offset and output length there.
+    check: SimState,
     check_consumed: usize,
     check_out: usize,
 }
 
 impl Lane<'_> {
-    fn serialize_check(&mut self) {
-        self.check.clear();
-        self.session
-            .checkpoint(&mut self.check)
-            .expect("writing a checkpoint to memory cannot fail");
+    /// Copies the engine's state into the rewind point, in place.
+    /// Taken through [`Engine::state`], as a text checkpoint is, so an
+    /// engine's [`restore`](Engine::restore) sees exactly the value a
+    /// checkpoint round trip would hand it.
+    fn save_check(&mut self) {
+        self.check.clone_from(self.session.engine().state());
         self.check_consumed = self.consumed.get();
     }
 }
+
+/// Verified trace bytes quoted per lane when
+/// [`CosimOptions::retain_output`] is off: the span
+/// [`Lockstep::agreed_output`] returns and the divergence-report trace
+/// windows are cut from.
+const TRACE_TAIL: usize = 4096;
 
 /// The lockstep harness. See the [module docs](self) for the comparison
 /// discipline.
@@ -321,6 +333,8 @@ pub struct Lockstep<'d> {
     compare_calls: Vec<u64>,
     /// Bisection rewinds since the last telemetry emit.
     rewinds: u64,
+    /// Rewind-point refreshes since the last telemetry emit.
+    snapshots: u64,
 }
 
 impl<'d> Lockstep<'d> {
@@ -345,6 +359,7 @@ impl<'d> Lockstep<'d> {
             verified_out: 0,
             compare_calls,
             rewinds: 0,
+            snapshots: 0,
         }
     }
 
@@ -391,20 +406,17 @@ impl<'d> Lockstep<'d> {
             ))
             .recorder(self.options.recorder.clone())
             .build();
-        let mut lane = Lane {
+        let check = session.engine().snapshot();
+        self.lanes.push(Lane {
             name: name.to_string(),
             session,
             out,
             consumed,
             error: None,
-            check: Vec::new(),
+            check,
             check_consumed: 0,
             check_out: 0,
-        };
-        if self.options.compare_every > 1 {
-            lane.serialize_check();
-        }
-        self.lanes.push(lane);
+        });
         self
     }
 
@@ -428,12 +440,22 @@ impl<'d> Lockstep<'d> {
     }
 
     /// The trace/output text all lanes agreed on (bytes up to the last
-    /// verified checkpoint). Empty until the first successful comparison.
+    /// agreeing comparison). Empty until the first successful comparison.
     /// The *full* run text is only available with
-    /// [`CosimOptions::retain_output`] set; otherwise verified output is
-    /// drained at checkpoints and only the retained tail is returned.
+    /// [`CosimOptions::retain_output`] set; otherwise only the last 4096
+    /// verified bytes are returned.
     pub fn agreed_output(&self) -> Vec<u8> {
-        self.lanes[0].out.borrow()[..self.verified_out].to_vec()
+        self.lanes[0].out.borrow()[self.quote_start()..self.verified_out].to_vec()
+    }
+
+    /// Where quoted lane text starts in the buffers: 0 when output is
+    /// retained, else [`TRACE_TAIL`] bytes before the verified end.
+    fn quote_start(&self) -> usize {
+        if self.options.retain_output {
+            0
+        } else {
+            self.verified_out.saturating_sub(TRACE_TAIL)
+        }
     }
 
     /// Runs up to `cycles` further cycles in lockstep.
@@ -449,9 +471,9 @@ impl<'d> Lockstep<'d> {
     }
 
     /// Emits locally-aggregated deterministic counters as deltas
-    /// (comparator invocations per lens, bisection rewinds) and resets
-    /// the local tallies — folding sums deltas, so repeated `run` calls
-    /// total correctly.
+    /// (comparator invocations per lens, bisection rewinds, and at coarse
+    /// strides rewind-point refreshes) and resets the local tallies —
+    /// folding sums deltas, so repeated `run` calls total correctly.
     fn emit_counters(&mut self) {
         let recorder = &self.options.recorder;
         if !recorder.enabled() {
@@ -466,6 +488,15 @@ impl<'d> Lockstep<'d> {
             "bisect_rewinds",
             std::mem::take(&mut self.rewinds),
         );
+        // Stride-1 runs never take rewind points; leaving the key out
+        // there keeps their event logs unchanged.
+        if self.options.compare_every > 1 {
+            recorder.count(
+                "lockstep",
+                "rewind_snapshots",
+                std::mem::take(&mut self.snapshots),
+            );
+        }
     }
 
     fn run_inner(&mut self, cycles: u64) -> CosimOutcome {
@@ -487,11 +518,11 @@ impl<'d> Lockstep<'d> {
                     };
                 }
                 BurstResult::Diverged(stepped) => {
-                    // Rewind to the last agreeing checkpoint and replay one
-                    // cycle at a time to find the exact divergence point.
+                    // Rewind to the last agreeing point and replay one cycle
+                    // at a time to find the exact divergence point.
                     // compare() is Some here, so capture the coarse report
                     // first: an engine whose behavior is not fully restored
-                    // by checkpoint/resume may fail to reproduce on replay,
+                    // by snapshot/restore may fail to reproduce on replay,
                     // and the observed divergence must still be reported
                     // (at comparison granularity) rather than panic.
                     let coarse = self.build_report();
@@ -597,46 +628,45 @@ impl<'d> Lockstep<'d> {
         None
     }
 
-    /// Commits an agreeing comparison: drains verified output down to a
-    /// report tail (unless retained) and refreshes the per-lane rewind
-    /// checkpoints ([`Session::checkpoint`] at coarse strides).
+    /// Commits an agreeing comparison: drains verified output back to
+    /// the quoted tail once it passes twice that (unless retained) and
+    /// refreshes the per-lane rewind points (at coarse strides).
     fn commit(&mut self) {
         let len = self.lanes[0].out.borrow().len();
-        if self.options.retain_output {
-            self.verified_out = len;
+        // Draining keeps long runs O(interval), not O(cycles); waiting
+        // until the buffers hold 2 × TRACE_TAIL moves each byte at most
+        // once instead of shifting the whole tail every cycle.
+        let drain = if self.options.retain_output || len <= 2 * TRACE_TAIL {
+            0
         } else {
-            // Keep a tail for divergence-report trace windows; drain the
-            // rest so long runs stay O(interval), not O(cycles).
-            const TRACE_TAIL: usize = 4096;
-            let drain = len.saturating_sub(TRACE_TAIL);
-            if drain > 0 {
-                for lane in &self.lanes {
-                    lane.out.borrow_mut().drain(..drain);
-                }
+            len - TRACE_TAIL
+        };
+        if drain > 0 {
+            for lane in &self.lanes {
+                lane.out.borrow_mut().drain(..drain);
             }
-            self.verified_out = len - drain;
         }
+        self.verified_out = len - drain;
         // Rewind only ever happens when a burst covered more than one
-        // cycle, so at stride 1 the serialized checkpoints would be pure
-        // overhead (the whole memory image per lane per cycle).
+        // cycle, so at stride 1 the rewind points would be pure overhead
+        // (the whole memory image per lane per cycle).
         let rewindable = self.options.compare_every > 1;
         for lane in &mut self.lanes {
             if rewindable {
-                lane.serialize_check();
+                lane.save_check();
+                self.snapshots += 1;
             }
             lane.check_out = lane.out.borrow().len();
         }
     }
 
-    /// Rewinds every lane to the last agreeing checkpoint: session state
-    /// through [`Session::resume`], stimulus re-supplied from the
+    /// Rewinds every lane to the last agreeing point: engine state
+    /// through [`Engine::restore`], stimulus re-supplied from the
     /// recorded offset, output truncated.
     fn rewind(&mut self) {
         self.rewinds += 1;
         for lane in &mut self.lanes {
-            lane.session
-                .resume(&mut &lane.check[..])
-                .expect("an in-memory checkpoint round-trips");
+            lane.session.engine_mut().restore(&lane.check);
             let stimulus = MeteredInput::from_offset(
                 &self.stimulus,
                 lane.check_consumed,
@@ -651,6 +681,7 @@ impl<'d> Lockstep<'d> {
     fn build_report(&mut self) -> DivergenceReport {
         let kind = self.compare().expect("report requested without divergence");
         let window = self.options.trace_window;
+        let quote = self.quote_start();
         let lanes = self
             .lanes
             .iter()
@@ -659,7 +690,8 @@ impl<'d> Lockstep<'d> {
                 let span = self.verified_out.min(buf.len());
                 let observation =
                     Observation::new(lane.session.engine(), &buf[span..], lane.error.as_ref());
-                LaneReport::from_observation(&lane.name, &kind, &observation, &buf, window)
+                let text = &buf[quote.min(span)..];
+                LaneReport::from_observation(&lane.name, &kind, &observation, text, window)
             })
             .collect();
         DivergenceReport {
@@ -797,16 +829,11 @@ impl<'d> Lockstep<'d> {
             lane.session.set_stimulus(stimulus);
             lane.out.borrow_mut().clear();
             lane.error = None;
+            lane.save_check();
             lane.check_out = 0;
-            lane.check_consumed = consumed;
         }
         self.verified = verified;
         self.verified_out = 0;
-        if self.options.compare_every > 1 {
-            for lane in &mut self.lanes {
-                lane.serialize_check();
-            }
-        }
         Ok(())
     }
 
@@ -1044,6 +1071,92 @@ mod tests {
         same.add_engine(EngineKind::Interp)
             .add_engine(EngineKind::Vm);
         assert!(same.resume(&mut &b"not a checkpoint"[..]).is_err());
+    }
+
+    #[test]
+    fn drained_runs_quote_what_retained_runs_quote() {
+        use rtl_core::{EngineFactory, EngineLane, EngineOptions};
+
+        // The counter prints ~20 bytes a cycle, so 1200 cycles run well
+        // past 3 × TRACE_TAIL and the buffers drain several times.
+        let d = design(COUNTER);
+        let run = |retain_output: bool, fault_at: Option<u64>, every: u64| {
+            let mut ls = Lockstep::new(
+                &d,
+                CosimOptions {
+                    retain_output,
+                    compare_every: every,
+                    ..CosimOptions::default()
+                },
+            );
+            ls.add_engine(EngineKind::Interp);
+            match fault_at {
+                Some(cycle) => {
+                    let factory = crate::fault::FaultyVmFactory::from_cycle(cycle);
+                    let Ok(EngineLane::Stepped(engine)) =
+                        factory.build(&d, &EngineOptions::default())
+                    else {
+                        panic!("the faulty VM is a stepped lane");
+                    };
+                    ls.add_lane("vm-fault", engine);
+                }
+                None => {
+                    ls.add_engine(EngineKind::Vm);
+                }
+            }
+            let outcome = ls.run(1200);
+            (outcome, ls.agreed_output())
+        };
+
+        let (outcome, retained) = run(true, None, 1);
+        assert!(outcome.agreed());
+        assert!(retained.len() > 3 * TRACE_TAIL, "{}", retained.len());
+        for every in [1, 16] {
+            let (outcome, drained) = run(false, None, every);
+            assert!(outcome.agreed());
+            assert_eq!(
+                drained,
+                retained[retained.len() - TRACE_TAIL..],
+                "stride {every}"
+            );
+
+            let (CosimOutcome::Divergence(kept), CosimOutcome::Divergence(cut)) = (
+                run(true, Some(900), every).0,
+                run(false, Some(900), every).0,
+            ) else {
+                panic!("the fault must diverge at stride {every}");
+            };
+            assert_eq!(kept.cycle, 900);
+            assert_eq!(kept, cut, "stride {every}");
+        }
+    }
+
+    #[test]
+    fn rewind_snapshots_are_counted_at_coarse_strides_only() {
+        let d = design(COUNTER);
+        let count = |every: u64| {
+            let (recorder, log) = Recorder::memory();
+            let mut ls = Lockstep::new(
+                &d,
+                CosimOptions {
+                    compare_every: every,
+                    recorder: recorder.clone(),
+                    ..CosimOptions::default()
+                },
+            );
+            ls.add_engine(EngineKind::Interp).add_engine(EngineKind::Vm);
+            assert!(ls.run(64).agreed());
+            recorder.flush();
+            log.text()
+        };
+        let coarse = count(16);
+        // Four agreeing intervals, two lanes each.
+        assert!(
+            coarse.contains("\"key\":\"rewind_snapshots\",\"n\":8"),
+            "{coarse}"
+        );
+        let fine = count(1);
+        assert!(!fine.contains("rewind_snapshots"), "{fine}");
     }
 
     #[test]
